@@ -15,15 +15,14 @@
 //!   fabric figure is gated against the checked-in floor.
 //!
 //! - **E13 telemetry overhead** — the shared [`cscw_bench::e13`]
-//!   workload, timed instrumented-vs-baseline. The binary `SpanCarrier`
-//!   replaced the old `trace:span:parent:kind` hex-string span
-//!   payloads, which is what brought this from ~9.8 % at the seed to
-//!   under 2 %. Single measurements of a ~2 ms workload are noisy
+//!   workload, timed instrumented-vs-baseline. Recording spans into
+//!   the binary span log instead of hex-string trace events is what
+//!   brought this from ~9.8 % at the seed to under 2 %. Single measurements of a ~2 ms workload are noisy
 //!   (observed spread is a few points either way), so the gate takes
 //!   the *minimum* over several interleaved best-of rounds — upward
 //!   noise cannot produce a false pass on the minimum, only mask a
 //!   real regression behind even more noise, and a real regression
-//!   (like reverting to string spans) shifts every round.
+//!   (like a costlier span record) shifts every round.
 //!
 //! ```text
 //! cargo run -p cscw-bench --bin fabric_deliver --release \

@@ -53,7 +53,7 @@ impl Actor<GcMsg<String>> for CallerHost {
             // Fixed ids, not rng-minted: the leak must appear in every
             // explored schedule, not just the first.
             let probe = SpanContext::root_with(0xbad, 0xbad);
-            ctx.span_open(probe.carrier(), "bad.probe");
+            ctx.span_open(probe, "bad.probe");
         }
         self.inner
             .invoke_rpc_now(ctx, "ping".to_owned(), RpcConfig::default());

@@ -12,7 +12,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, EventBus};
-use odp_fabric::SpanCarrier;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use odp_telemetry::span::SpanContext;
@@ -134,13 +133,13 @@ impl std::error::Error for SessionError {}
 /// close of `span` at `at`, ready to replay into a trace's binary
 /// span log ([`odp_sim::trace::Trace::span_open`] /
 /// [`odp_sim::trace::Trace::span_close`]). Allocation-free: kinds are
-/// static names and the carrier is three words.
+/// static names and the span is three words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// When the event happened.
     pub at: SimTime,
     /// The span's identity.
-    pub span: SpanCarrier,
+    pub span: SpanContext,
     /// `Some(kind)` for an open, `None` for a close.
     pub open_kind: Option<&'static str>,
 }
@@ -168,7 +167,7 @@ impl SessionSpans {
         let root = SpanContext::root_with(trace_id, 1);
         let events = vec![SpanEvent {
             at,
-            span: root.carrier(),
+            span: root,
             open_kind: Some("session.live"),
         }];
         SessionSpans {
@@ -187,12 +186,12 @@ impl SessionSpans {
         let span = self.root.child_with(self.next_span);
         self.events.push(SpanEvent {
             at: opened,
-            span: span.carrier(),
+            span,
             open_kind: Some(kind),
         });
         self.events.push(SpanEvent {
             at: closed,
-            span: span.carrier(),
+            span,
             open_kind: None,
         });
     }
@@ -202,7 +201,7 @@ impl SessionSpans {
             self.open = false;
             self.events.push(SpanEvent {
                 at,
-                span: self.root.carrier(),
+                span: self.root,
                 open_kind: None,
             });
         }

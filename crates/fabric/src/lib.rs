@@ -19,12 +19,10 @@
 //!   bytes with copy-on-write. Fan-out to N peers bumps a refcount N
 //!   times instead of copying the body N times; the first writer to a
 //!   shared buffer pays one copy.
-//! - [`SpanCarrier`](span::SpanCarrier) + [`SpanLog`](span::SpanLog):
-//!   the interned binary representation of telemetry span events,
-//!   replacing the `trace:span:parent:kind` hex strings that cost two
-//!   `String` allocations per span record. Kinds are interned to a
-//!   small [`KindId`](span::KindId); one span record is a fixed-size
-//!   push.
+//! - [`SpanContext`] + [`SpanLog`]: the one span identity every layer
+//!   records and carries, and the binary log it is recorded into.
+//!   Kinds are interned to a small [`KindId`]; one span record is a
+//!   fixed-size push.
 //! - [`SortedVecMap`](map::SortedVecMap): a binary-searched sorted
 //!   vector with the `BTreeMap` API subset the hot sites use. Sound
 //!   wherever the map is small-to-medium and iteration order (not
@@ -37,11 +35,11 @@ pub mod span;
 
 pub use bytes::Payload;
 pub use map::SortedVecMap;
-pub use span::{FabricError, KindId, SpanCarrier, SpanEvent, SpanLog, SpanOp};
+pub use span::{KindId, SpanContext, SpanEvent, SpanLog, SpanOp};
 
 /// Everything a consuming crate usually wants.
 pub mod prelude {
     pub use crate::bytes::Payload;
     pub use crate::map::SortedVecMap;
-    pub use crate::span::{KindId, SpanCarrier, SpanEvent, SpanLog, SpanOp};
+    pub use crate::span::{KindId, SpanContext, SpanEvent, SpanLog, SpanOp};
 }

@@ -1,142 +1,57 @@
-//! The interned binary span carrier and the span log.
+//! The span identity and the binary span log.
 //!
-//! Telemetry spans used to ride the string trace as
-//! `trace:span:parent:kind` hex payloads — two `String` allocations per
-//! record, parsed back with a hand-rolled hex scanner. On instrumented
-//! hot paths that was ~9.8% of E13's runtime. Here a span record is one
-//! fixed-size push into a [`SpanLog`]: the ids travel as raw `u64`s in
-//! a [`SpanCarrier`] and the kind string is interned once per distinct
-//! kind into a [`KindId`].
+//! A [`SpanContext`] names one unit of causally-related work: a group
+//! RPC, one member's service of it, a trader import, a media frame in
+//! flight. It lives here, below the simulator, so the sim's trace, the
+//! transport contexts and every instrumented actor share one type.
 //!
-//! The carrier also has a standalone binary codec
-//! ([`SpanCarrier::encode_into`] / [`SpanCarrier::decode_from`]) whose
-//! byte layout matches the workspace wire convention (big-endian
-//! fixed-width ints, `0`/`1` option tag), and whose decoder is total —
-//! the hostile-bytes property suite pins that down.
+//! A span record is one fixed-size push into a [`SpanLog`]: the ids
+//! travel as raw `u64`s and the kind string is interned once per
+//! distinct kind into a [`KindId`].
 
-use std::fmt;
-
-/// Decode errors for the fabric's standalone codecs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricError {
-    /// Fewer bytes than the value needs.
-    Truncated {
-        /// Bytes required.
-        needed: usize,
-        /// Bytes present.
-        have: usize,
-    },
-    /// An enum tag outside the defined range.
-    BadTag {
-        /// The offending tag byte.
-        tag: u8,
-    },
-}
-
-impl fmt::Display for FabricError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FabricError::Truncated { needed, have } => {
-                write!(f, "truncated: needed {needed} bytes, have {have}")
-            }
-            FabricError::BadTag { tag } => write!(f, "bad tag byte {tag}"),
-        }
-    }
-}
-
-impl std::error::Error for FabricError {}
-
-/// The binary identity of one span: what the hex string
-/// `trace:span:parent` used to carry, as raw words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanCarrier {
-    /// The trace this span belongs to.
+/// The identity of one span within a causal trace.
+///
+/// `trace_id` groups every span descending from one root; `span_id` is
+/// unique within the run; `parent` is the causally preceding span's id
+/// (`None` for a root).
+///
+/// # Examples
+///
+/// ```
+/// use odp_fabric::span::SpanContext;
+///
+/// let root = SpanContext::root_with(9, 1);
+/// let child = root.child_with(2);
+/// assert_eq!(child.trace_id, root.trace_id);
+/// assert_eq!(child.parent, Some(root.span_id));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SpanContext {
+    /// Groups all spans of one causal trace.
     pub trace_id: u64,
-    /// This span's id, unique within the trace.
+    /// This span's unique id.
     pub span_id: u64,
-    /// The parent span id, `None` for roots.
+    /// The parent span's id, if any.
     pub parent: Option<u64>,
 }
 
-impl SpanCarrier {
-    /// A root carrier (no parent).
-    pub fn root(trace_id: u64, span_id: u64) -> Self {
-        SpanCarrier {
+impl SpanContext {
+    /// Builds a root span from explicit ids (for counter-based minting
+    /// where no rng is in scope, e.g. session engines).
+    pub fn root_with(trace_id: u64, span_id: u64) -> Self {
+        SpanContext {
             trace_id,
             span_id,
             parent: None,
         }
     }
 
-    /// A child carrier under `parent`.
-    pub fn child_of(trace_id: u64, span_id: u64, parent: u64) -> Self {
-        SpanCarrier {
-            trace_id,
+    /// Builds a child of `self` from an explicit id.
+    pub fn child_with(&self, span_id: u64) -> Self {
+        SpanContext {
+            trace_id: self.trace_id,
             span_id,
-            parent: Some(parent),
-        }
-    }
-
-    /// Appends the binary encoding: `trace_id` and `span_id` as
-    /// big-endian `u64`s, then a `0`/`1` option tag and, if present,
-    /// the parent id — the same layout the workspace wire codec uses
-    /// for `(u64, u64, Option<u64>)`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.trace_id.to_be_bytes());
-        out.extend_from_slice(&self.span_id.to_be_bytes());
-        match self.parent {
-            None => out.push(0),
-            Some(p) => {
-                out.push(1);
-                out.extend_from_slice(&p.to_be_bytes());
-            }
-        }
-    }
-
-    /// Reads one carrier from the front of `bytes`, returning it and
-    /// the bytes consumed. Total: truncated or hostile input yields a
-    /// [`FabricError`], never a panic.
-    pub fn decode_from(bytes: &[u8]) -> Result<(SpanCarrier, usize), FabricError> {
-        fn word(bytes: &[u8], at: usize) -> Result<u64, FabricError> {
-            let Some(slice) = bytes.get(at..at + 8) else {
-                return Err(FabricError::Truncated {
-                    needed: at + 8,
-                    have: bytes.len(),
-                });
-            };
-            let mut fixed = [0u8; 8];
-            fixed.copy_from_slice(slice);
-            Ok(u64::from_be_bytes(fixed))
-        }
-        let trace_id = word(bytes, 0)?;
-        let span_id = word(bytes, 8)?;
-        let Some(&tag) = bytes.get(16) else {
-            return Err(FabricError::Truncated {
-                needed: 17,
-                have: bytes.len(),
-            });
-        };
-        match tag {
-            0 => Ok((
-                SpanCarrier {
-                    trace_id,
-                    span_id,
-                    parent: None,
-                },
-                17,
-            )),
-            1 => {
-                let parent = word(bytes, 17)?;
-                Ok((
-                    SpanCarrier {
-                        trace_id,
-                        span_id,
-                        parent: Some(parent),
-                    },
-                    25,
-                ))
-            }
-            tag => Err(FabricError::BadTag { tag }),
+            parent: Some(self.span_id),
         }
     }
 }
@@ -151,7 +66,7 @@ pub enum SpanOp {
     /// A span opened, with its interned kind.
     Open {
         /// The span identity.
-        span: SpanCarrier,
+        span: SpanContext,
         /// Which kind, resolvable via [`SpanLog::kind`].
         kind: KindId,
     },
@@ -181,10 +96,10 @@ pub struct SpanEvent {
 /// to strings after the run.
 ///
 /// ```
-/// use odp_fabric::span::{SpanCarrier, SpanLog, SpanOp};
+/// use odp_fabric::span::{SpanContext, SpanLog, SpanOp};
 ///
 /// let mut log = SpanLog::new();
-/// let root = SpanCarrier::root(1, 10);
+/// let root = SpanContext::root_with(1, 10);
 /// log.open(0, 0, root, "rpc.call");
 /// log.close(250, 0, 1, 10);
 /// assert_eq!(log.len(), 2);
@@ -227,7 +142,7 @@ impl SpanLog {
     }
 
     /// Records a span open.
-    pub fn open(&mut self, time_us: u64, node: u32, span: SpanCarrier, kind: &str) {
+    pub fn open(&mut self, time_us: u64, node: u32, span: SpanContext, kind: &str) {
         let kind = self.intern(kind);
         self.events.push(SpanEvent {
             time_us,
@@ -277,36 +192,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn carrier_roundtrips_with_and_without_parent() {
-        for carrier in [
-            SpanCarrier::root(0xdead_beef, 1),
-            SpanCarrier::child_of(7, u64::MAX, 3),
-        ] {
-            let mut buf = vec![0xAA]; // leading junk the caller already consumed
-            let start = buf.len();
-            carrier.encode_into(&mut buf);
-            let (back, used) = SpanCarrier::decode_from(&buf[start..]).expect("decodes");
-            assert_eq!(back, carrier);
-            assert_eq!(used, buf.len() - start);
-        }
-    }
-
-    #[test]
-    fn truncated_and_hostile_bytes_error() {
-        let mut buf = Vec::new();
-        SpanCarrier::child_of(1, 2, 3).encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            assert!(SpanCarrier::decode_from(&buf[..cut]).is_err(), "cut {cut}");
-        }
-        let mut bad = buf.clone();
-        bad[16] = 9; // invalid option tag
-        assert_eq!(
-            SpanCarrier::decode_from(&bad),
-            Err(FabricError::BadTag { tag: 9 })
-        );
-    }
-
-    #[test]
     fn interning_is_first_use_ordered_and_stable() {
         let mut log = SpanLog::new();
         let a = log.intern("gc.mcast");
@@ -320,7 +205,7 @@ mod tests {
     #[test]
     fn open_close_record_in_order() {
         let mut log = SpanLog::new();
-        log.open(5, 2, SpanCarrier::root(1, 1), "k");
+        log.open(5, 2, SpanContext::root_with(1, 1), "k");
         log.close(9, 2, 1, 1);
         assert_eq!(log.len(), 2);
         assert!(matches!(

@@ -1,24 +1,15 @@
-//! Property tests for the fabric primitives: the [`SpanCarrier`]
-//! binary codec round-trips and is total over hostile bytes, the
-//! [`Payload`] copy-on-write handle never lets a writer disturb other
-//! handles, and [`SortedVecMap`] is observationally equivalent to
-//! `BTreeMap` under arbitrary operation sequences.
+//! Property tests for the fabric primitives: the [`SpanContext`] wire
+//! decoder is total over hostile bytes, the [`Payload`] copy-on-write
+//! handle never lets a writer disturb other handles, and
+//! [`SortedVecMap`] is observationally equivalent to `BTreeMap` under
+//! arbitrary operation sequences.
 
 use std::collections::BTreeMap;
 
-use odp_fabric::{FabricError, Payload, SortedVecMap, SpanCarrier};
+use odp_fabric::{Payload, SortedVecMap, SpanContext};
+use odp_net::error::NetError;
+use odp_net::wire::{WireCodec, WireReader};
 use proptest::prelude::*;
-
-/// An arbitrary carrier, roots and children alike.
-fn arb_carrier() -> impl Strategy<Value = SpanCarrier> {
-    (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
-        |(trace_id, span_id, parent, has_parent)| SpanCarrier {
-            trace_id,
-            span_id,
-            parent: has_parent.then_some(parent),
-        },
-    )
-}
 
 /// One step of the map model test.
 #[derive(Debug, Clone)]
@@ -39,56 +30,31 @@ fn arb_map_op() -> impl Strategy<Value = MapOp> {
 }
 
 proptest! {
-    /// Every carrier round-trips through the binary codec, consuming
-    /// exactly the bytes it produced — including with trailing junk
-    /// after the encoding.
-    #[test]
-    fn carrier_roundtrips(carrier in arb_carrier(), junk in prop::collection::vec(any::<u8>(), 0..16)) {
-        let mut buf = Vec::new();
-        carrier.encode_into(&mut buf);
-        let encoded_len = buf.len();
-        buf.extend_from_slice(&junk);
-        let (back, used) = SpanCarrier::decode_from(&buf).expect("decodes");
-        prop_assert_eq!(back, carrier);
-        prop_assert_eq!(used, encoded_len);
-    }
-
-    /// Every strict prefix of a valid encoding is a typed error.
-    #[test]
-    fn truncated_carriers_error_at_every_prefix(carrier in arb_carrier()) {
-        let mut buf = Vec::new();
-        carrier.encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            prop_assert!(
-                SpanCarrier::decode_from(&buf[..cut]).is_err(),
-                "prefix of {} bytes decoded",
-                cut
-            );
-        }
-    }
-
-    /// The decoder is total over arbitrary bytes, and anything it
+    /// The span decoder is total over arbitrary bytes, and anything it
     /// accepts re-encodes to exactly the consumed prefix (the codec has
     /// one canonical form).
     #[test]
     fn hostile_bytes_never_panic_and_accepts_are_canonical(
         bytes in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        match SpanCarrier::decode_from(&bytes) {
-            Ok((carrier, used)) => {
-                prop_assert!(used <= bytes.len());
+        let mut r = WireReader::new(&bytes);
+        match SpanContext::decode(&mut r) {
+            Ok(span) => {
+                let used = bytes.len() - r.remaining();
                 let mut re = Vec::new();
-                carrier.encode_into(&mut re);
+                span.encode(&mut re);
                 prop_assert_eq!(re.as_slice(), &bytes[..used]);
             }
-            Err(FabricError::Truncated { needed, have }) => {
+            Err(NetError::Truncated { needed, have }) => {
                 prop_assert!(have < needed);
-                prop_assert_eq!(have, bytes.len());
+                prop_assert_eq!(have, r.remaining());
             }
-            Err(FabricError::BadTag { tag }) => {
-                prop_assert_eq!(tag, bytes[16]);
+            Err(NetError::BadTag { what, tag }) => {
+                prop_assert_eq!(what, "Option");
+                prop_assert_eq!(tag, u32::from(bytes[16]));
                 prop_assert!(tag > 1);
             }
+            Err(other) => prop_assert!(false, "unexpected error {}", other),
         }
     }
 

@@ -8,7 +8,7 @@
 //! stream — is byte-for-byte unchanged), and the TCP driver implements
 //! it over its own wall-clock state.
 
-use odp_fabric::SpanCarrier;
+use odp_fabric::SpanContext;
 use odp_sim::actor::{Ctx, TimerId};
 use odp_sim::metrics::MetricsRegistry;
 use odp_sim::net::NodeId;
@@ -55,12 +55,11 @@ pub trait NetCtx<M> {
     fn trace(&mut self, label: &str, data: String);
 
     /// Records a telemetry span opening into the host's binary span
-    /// log (the allocation-free fast path; see
-    /// [`odp_fabric::SpanLog`]).
-    fn span_open(&mut self, span: SpanCarrier, kind: &str);
+    /// log (see [`odp_fabric::SpanLog`]).
+    fn span_open(&mut self, span: SpanContext, kind: &str);
 
     /// Records a telemetry span closing into the host's binary span log.
-    fn span_close(&mut self, span: SpanCarrier);
+    fn span_close(&mut self, span: SpanContext);
 }
 
 impl<M> NetCtx<M> for Ctx<'_, M> {
@@ -100,11 +99,11 @@ impl<M> NetCtx<M> for Ctx<'_, M> {
         Ctx::trace(self, label, data);
     }
 
-    fn span_open(&mut self, span: SpanCarrier, kind: &str) {
+    fn span_open(&mut self, span: SpanContext, kind: &str) {
         Ctx::span_open(self, span, kind);
     }
 
-    fn span_close(&mut self, span: SpanCarrier) {
+    fn span_close(&mut self, span: SpanContext) {
         Ctx::span_close(self, span);
     }
 }

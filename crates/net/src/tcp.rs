@@ -276,11 +276,11 @@ impl<M> NetCtx<M> for TcpCtx<'_, M> {
         self.trace.record(self.now, self.me, label, data);
     }
 
-    fn span_open(&mut self, span: odp_fabric::SpanCarrier, kind: &str) {
+    fn span_open(&mut self, span: odp_fabric::SpanContext, kind: &str) {
         self.trace.span_open(self.now, self.me, span, kind);
     }
 
-    fn span_close(&mut self, span: odp_fabric::SpanCarrier) {
+    fn span_close(&mut self, span: odp_fabric::SpanContext) {
         self.trace.span_close(self.now, self.me, span);
     }
 }

@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use odp_fabric::Payload;
+use odp_fabric::{Payload, SpanContext};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
@@ -335,6 +335,26 @@ impl WireCodec for Payload {
     }
 }
 
+/// A [`SpanContext`] encodes as `trace_id`, `span_id`, then the
+/// option-tagged `parent`: 17 bytes for a root, 25 for a child. It is
+/// the one span codec, so spans piggybacked on protocol messages
+/// survive a trip through a real transport.
+impl WireCodec for SpanContext {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.trace_id.encode(out);
+        self.span_id.encode(out);
+        self.parent.encode(out);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        Ok(SpanContext {
+            trace_id: u64::decode(r)?,
+            span_id: u64::decode(r)?,
+            parent: Option::<u64>::decode(r)?,
+        })
+    }
+}
+
 /// Encodes `value` into a fresh [`Payload`] — the bridge from a typed
 /// envelope onto the byte fabric. The resulting payload's bytes *are*
 /// `value`'s wire encoding, so re-encoding the payload reproduces the
@@ -403,6 +423,19 @@ mod tests {
         (u32::MAX).encode(&mut body);
         let err = WireReader::new(&body).finish::<Vec<u64>>().unwrap_err();
         assert!(matches!(err, NetError::Truncated { .. }), "{err}");
+    }
+
+    #[test]
+    fn span_context_roundtrips() {
+        for ctx in [
+            SpanContext::root_with(0xfeed, 0xbeef),
+            SpanContext::root_with(1, 2).child_with(3),
+        ] {
+            let mut buf = Vec::new();
+            ctx.encode(&mut buf);
+            assert_eq!(buf.len(), if ctx.parent.is_some() { 25 } else { 17 });
+            assert_eq!(WireReader::new(&buf).finish::<SpanContext>(), Ok(ctx));
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property tests for the wire codec and framing layer: every
 //! primitive round-trips bit-exactly, every link-layer [`Frame`]
-//! variant round-trips, and the decoders are *total* — arbitrary or
-//! truncated bytes always yield a typed [`NetError`], never a panic
-//! and never an unbounded allocation.
+//! variant and every [`SpanContext`] round-trips, and the decoders are
+//! *total* — arbitrary or truncated bytes always yield a typed
+//! [`NetError`], never a panic and never an unbounded allocation.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use odp_fabric::Payload;
+use odp_fabric::{Payload, SpanContext};
 use odp_net::error::NetError;
 use odp_net::session::Frame;
 use odp_net::wire::{decode_frame, encode_frame, WireCodec, WireReader, MAX_FRAME};
@@ -55,6 +55,17 @@ fn arb_frame() -> impl Strategy<Value = Frame<String>> {
                 msg,
             },
         })
+}
+
+/// An arbitrary span identity, roots and children alike.
+fn arb_span() -> impl Strategy<Value = SpanContext> {
+    (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
+        |(trace_id, span_id, parent, has_parent)| SpanContext {
+            trace_id,
+            span_id,
+            parent: has_parent.then_some(parent),
+        },
+    )
 }
 
 proptest! {
@@ -142,6 +153,40 @@ proptest! {
         let _ = WireReader::new(&bytes).finish::<Frame<String>>();
         let _ = WireReader::new(&bytes).finish::<Vec<(NodeId, f64)>>();
         let _ = WireReader::new(&bytes).finish::<BTreeMap<NodeId, String>>();
+    }
+
+    /// Every span round-trips through the codec, consuming exactly the
+    /// bytes it produced — including with trailing junk after the
+    /// encoding.
+    #[test]
+    fn span_context_roundtrips_with_trailing_junk(
+        span in arb_span(),
+        junk in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut buf = Vec::new();
+        span.encode(&mut buf);
+        let encoded_len = buf.len();
+        buf.extend_from_slice(&junk);
+        let mut r = WireReader::new(&buf);
+        prop_assert_eq!(SpanContext::decode(&mut r).expect("decodes"), span);
+        prop_assert_eq!(buf.len() - r.remaining(), encoded_len);
+    }
+
+    /// Every strict prefix of a valid span encoding is a typed
+    /// truncation error.
+    #[test]
+    fn truncated_spans_error_at_every_prefix(span in arb_span()) {
+        let mut buf = Vec::new();
+        span.encode(&mut buf);
+        for cut in 0..buf.len() {
+            let got = SpanContext::decode(&mut WireReader::new(&buf[..cut]));
+            prop_assert!(
+                matches!(got, Err(NetError::Truncated { .. })),
+                "prefix of {} bytes: {:?}",
+                cut,
+                got
+            );
+        }
     }
 
     /// `Payload` is wire-transparent: it encodes as its raw bytes with

@@ -32,6 +32,7 @@ use odp_sim::actor::TimerId;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use odp_streams::transfer::ChunkPlan;
+use odp_telemetry::span::{mint_child, SpanContext};
 
 use crate::content_hash;
 use crate::wire::{PlaceWire, SpanObs};
@@ -238,16 +239,12 @@ impl TileHostActor {
 
     /// Serves one access, minting the serve child span and buffering
     /// its observation for the controller.
-    fn serve_span(
-        &mut self,
-        ctx: &mut dyn NetCtx<PlaceWire>,
-        parent: Option<odp_telemetry::span::SpanContext>,
-    ) {
+    fn serve_span(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, parent: Option<SpanContext>) {
         let Some(parent) = parent else { return };
-        let child = parent.child(ctx.rng());
+        let child = mint_child(&parent, ctx.rng());
         let now = ctx.now();
-        ctx.span_open(child.carrier(), "tile.serve");
-        ctx.span_close(child.carrier());
+        ctx.span_open(child, "tile.serve");
+        ctx.span_close(child);
         let me = self.me;
         self.buffer_span(
             ctx,

@@ -25,7 +25,7 @@ use odp_sim::actor::TimerId;
 use odp_sim::net::{LinkSpec, Network, NodeId};
 use odp_sim::sim::{Sim, SimBuilder};
 use odp_sim::time::{SimDuration, SimTime};
-use odp_telemetry::span::SpanContext;
+use odp_telemetry::span::{mint_root, SpanContext};
 
 use odp_awareness::bus::CoopEvent;
 
@@ -189,9 +189,9 @@ impl EditorActor {
             ctx.metrics().incr("place.editor.skipped");
             return;
         }
-        let span = SpanContext::root(ctx.rng());
+        let span = mint_root(ctx.rng());
         let kind = format!("{ACCESS_KIND_PREFIX}{}", op.cluster.0);
-        ctx.span_open(span.carrier(), &kind);
+        ctx.span_open(span, &kind);
         self.pending.insert(
             op.cluster,
             Pending {
@@ -209,7 +209,7 @@ impl EditorActor {
             return;
         };
         let now = ctx.now();
-        ctx.span_close(p.span.carrier());
+        ctx.span_close(p.span);
         let me = self.me;
         self.buffer_obs(
             ctx,

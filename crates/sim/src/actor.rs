@@ -156,15 +156,13 @@ impl<'a, M> Ctx<'a, M> {
         self.trace.record(self.now, self.id, label, data);
     }
 
-    /// Records a telemetry span opening into the binary span log — the
-    /// allocation-free fast path telemetry instrumentation uses instead
-    /// of hex-string trace events.
-    pub fn span_open(&mut self, span: odp_fabric::SpanCarrier, kind: &str) {
+    /// Records a telemetry span opening into the binary span log.
+    pub fn span_open(&mut self, span: odp_fabric::SpanContext, kind: &str) {
         self.trace.span_open(self.now, self.id, span, kind);
     }
 
     /// Records a telemetry span closing into the binary span log.
-    pub fn span_close(&mut self, span: odp_fabric::SpanCarrier) {
+    pub fn span_close(&mut self, span: odp_fabric::SpanContext) {
         self.trace.span_close(self.now, self.id, span);
     }
 }

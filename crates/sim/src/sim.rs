@@ -261,9 +261,7 @@ pub enum RunOutcome {
 }
 
 /// Configures and constructs a [`Sim`]: seed, network, topology,
-/// telemetry and event budget in one fluent expression, replacing the
-/// old `with_network` / `set_max_events` / `set_default_msg_bytes`
-/// mutator sprawl.
+/// telemetry and event budget in one fluent expression.
 ///
 /// # Examples
 ///
@@ -545,19 +543,6 @@ pub struct Sim<M> {
 }
 
 impl<M: 'static> Sim<M> {
-    /// Creates a simulation with the default (LAN) network and the given
-    /// seed.
-    #[deprecated(note = "use SimBuilder::new(seed).build()")]
-    pub fn new(seed: u64) -> Self {
-        SimBuilder::new(seed).build()
-    }
-
-    /// Creates a simulation over a specific network model.
-    #[deprecated(note = "use SimBuilder::new(seed).network(net).build()")]
-    pub fn with_network(seed: u64, net: Network) -> Self {
-        SimBuilder::new(seed).network(net).build()
-    }
-
     /// Registers an actor on node `id`, scheduling its
     /// [`Actor::on_start`] at the current time, and returns a typed
     /// handle for later [`Sim::get`] / [`Sim::get_mut`] access.
@@ -618,18 +603,6 @@ impl<M: 'static> Sim<M> {
         self.push(at, EventKind::Deliver { from, to, msg });
     }
 
-    /// Sets the wire size assumed for [`Ctx::send`] (default 256 bytes).
-    #[deprecated(note = "configure via SimBuilder::default_msg_bytes")]
-    pub fn set_default_msg_bytes(&mut self, bytes: usize) {
-        self.default_msg_bytes = bytes;
-    }
-
-    /// Caps the number of processed events, as a runaway-protocol guard.
-    #[deprecated(note = "configure via SimBuilder::max_events; run(Until) reports EventCapHit")]
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
-    }
-
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -677,21 +650,6 @@ impl<M: 'static> Sim<M> {
             .as_mut()?
             .as_any_mut()
             .downcast_mut::<A>()
-    }
-
-    /// Borrows the actor on `id` downcast to its concrete type, for
-    /// post-run inspection.
-    #[deprecated(note = "use Sim::get with the ActorHandle from add_actor (or ActorHandle::of)")]
-    pub fn actor<A: Actor<M> + Any>(&self, id: NodeId) -> Option<&A> {
-        self.get(ActorHandle::of(id))
-    }
-
-    /// Mutable variant of the deprecated `actor` accessor.
-    #[deprecated(
-        note = "use Sim::get_mut with the ActorHandle from add_actor (or ActorHandle::of)"
-    )]
-    pub fn actor_mut<A: Actor<M> + Any>(&mut self, id: NodeId) -> Option<&mut A> {
-        self.get_mut(ActorHandle::of(id))
     }
 
     /// Node ids with registered actors, in ascending order.
@@ -1081,19 +1039,6 @@ impl<M: 'static> Sim<M> {
         outcome
     }
 
-    /// Runs while the next event is at or before `deadline`; afterwards
-    /// the clock reads `deadline` if it would otherwise lag behind.
-    #[deprecated(note = "use run(Until::At(deadline))")]
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.run(Until::At(deadline));
-    }
-
-    /// Runs for `d` of simulated time from now.
-    #[deprecated(note = "use run(Until::For(d))")]
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.run(Until::For(d));
-    }
-
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -1463,41 +1408,5 @@ mod tests {
         assert_eq!(sim.metrics().counter("sim.delivered"), 2);
         assert_eq!(sim.node_ids(), vec![NodeId(0), far]);
         assert!(sim.get(ActorHandle::<Server>::of(far)).is_some());
-    }
-
-    /// The one-release compatibility shims still work; this module is
-    /// the only in-repo caller allowed to exercise them.
-    #[allow(deprecated)]
-    mod deprecated_shims {
-        use super::*;
-
-        #[test]
-        fn legacy_construction_and_run_surface_still_works() {
-            let mut sim: Sim<Msg> = Sim::new(1);
-            sim.set_max_events(10_000);
-            sim.set_default_msg_bytes(128);
-            sim.add_actor(NodeId(1), Server);
-            sim.add_actor(NodeId(0), Client::new(NodeId(1)));
-            sim.run_until(SimTime::from_millis(1));
-            sim.run_for(SimDuration::from_millis(20));
-            let client: &Client = sim.actor(NodeId(0)).expect("registered");
-            assert_eq!(client.received, vec![1]);
-            let client_mut: &mut Client = sim.actor_mut(NodeId(0)).expect("registered");
-            client_mut.received.clear();
-        }
-
-        #[test]
-        fn with_network_matches_builder_network() {
-            let wan = || Network::new(LinkSpec::wan(SimDuration::from_millis(20)));
-            let mut a: Sim<Msg> = Sim::with_network(9, wan());
-            let mut b: Sim<Msg> = SimBuilder::new(9).network(wan()).build();
-            a.add_actor(NodeId(0), Client::new(NodeId(1)));
-            a.add_actor(NodeId(1), Server);
-            b.add_actor(NodeId(0), Client::new(NodeId(1)));
-            b.add_actor(NodeId(1), Server);
-            a.run(Until::Idle);
-            b.run(Until::Idle);
-            assert_eq!(a.trace().events(), b.trace().events());
-        }
     }
 }

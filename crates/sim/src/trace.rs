@@ -5,7 +5,7 @@
 //! actor records a labelled event, and the harness correlates records
 //! afterwards.
 
-use odp_fabric::span::{SpanCarrier, SpanLog};
+use odp_fabric::span::{SpanContext, SpanLog};
 use serde::{Deserialize, Serialize};
 
 use crate::net::NodeId;
@@ -100,15 +100,15 @@ impl Trace {
     }
 
     /// Sets (or removes) the retention bound. Shrinking evicts the
-    /// oldest surplus records immediately.
+    /// oldest surplus records immediately; growing or lifting the bound
+    /// keeps the current window and never brings back evicted records.
     pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity;
+        // Compact to the current window first: the backing vector may
+        // still hold records the old bound already evicted.
+        let keep = self.window().len().min(capacity.unwrap_or(usize::MAX));
         let len = self.events.len();
-        if let Some(cap) = capacity {
-            if len > cap {
-                self.events.drain(..len - cap);
-            }
-        }
+        self.events.drain(..len - keep);
+        self.capacity = capacity;
     }
 
     /// Number of records evicted by the capacity bound since the last
@@ -224,11 +224,9 @@ impl Trace {
     }
 
     /// Records a telemetry span opening (no-op when disabled). Span
-    /// records live in the binary [`SpanLog`] beside the string events:
-    /// one fixed-size push with the kind interned, instead of two
-    /// hex-formatted `String` allocations — the difference between
-    /// ~9.8% and <2% instrumentation overhead on the E13 workload.
-    pub fn span_open(&mut self, time: SimTime, node: NodeId, span: SpanCarrier, kind: &str) {
+    /// records live in the binary [`SpanLog`] beside the labelled
+    /// events: one fixed-size push with the kind interned.
+    pub fn span_open(&mut self, time: SimTime, node: NodeId, span: SpanContext, kind: &str) {
         if !self.enabled {
             return;
         }
@@ -236,7 +234,7 @@ impl Trace {
     }
 
     /// Records a telemetry span closing (no-op when disabled).
-    pub fn span_close(&mut self, time: SimTime, node: NodeId, span: SpanCarrier) {
+    pub fn span_close(&mut self, time: SimTime, node: NodeId, span: SpanContext) {
         if !self.enabled {
             return;
         }
@@ -377,6 +375,24 @@ mod tests {
         tr.set_capacity(None);
         tr.record(t(9), NodeId(0), "e", "9");
         assert_eq!(tr.len(), 3, "unbounded again, nothing else evicted");
+    }
+
+    #[test]
+    fn growing_or_lifting_capacity_keeps_evicted_records_evicted() {
+        for bound in [Some(5), None] {
+            // Three records under a bound of two: the backing vector
+            // still holds the evicted "0" (compaction is lazy).
+            let mut tr = Trace::with_capacity(2);
+            for i in 0..3 {
+                tr.record(t(i), NodeId(0), "e", i.to_string());
+            }
+            tr.set_capacity(bound);
+            assert_eq!(tr.len(), 2, "{bound:?}");
+            assert_eq!(tr.dropped(), 1, "{bound:?}");
+            tr.record(t(3), NodeId(0), "e", "3");
+            let data: Vec<_> = tr.events().iter().map(|e| e.data.as_str()).collect();
+            assert_eq!(data, ["1", "2", "3"], "{bound:?}");
+        }
     }
 
     #[test]

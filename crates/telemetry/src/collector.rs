@@ -1,7 +1,7 @@
 //! Assembling span events into per-trace causal DAGs.
 //!
-//! The [`Collector`] consumes a finished run's
-//! [`odp_sim::trace::Trace`] (or individual open/close observations)
+//! The [`Collector`] consumes a finished run's binary span log (via
+//! [`odp_sim::trace::Trace`]) or individual open/close observations,
 //! and groups spans by `trace_id` into [`TraceDag`]s. Each DAG can be
 //! audited for well-formedness — every span closed, every parent opened
 //! no later than its child, no parent cycles — and mined for its
@@ -17,7 +17,7 @@ use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use odp_sim::trace::Trace;
 
-use crate::span::{SpanContext, CLOSE, OPEN};
+use crate::span::SpanContext;
 
 /// One observed span: identity, kind, where it ran and when it was
 /// open.
@@ -182,10 +182,10 @@ impl TraceDag {
 /// use odp_sim::rng::DetRng;
 /// use odp_sim::time::SimTime;
 /// use odp_telemetry::collector::Collector;
-/// use odp_telemetry::span::SpanContext;
+/// use odp_telemetry::span::mint_root;
 ///
 /// let mut rng = DetRng::seed_from(3);
-/// let root = SpanContext::root(&mut rng);
+/// let root = mint_root(&mut rng);
 /// let mut c = Collector::new();
 /// c.ingest_open(SimTime::ZERO, NodeId(0), root, "rpc.call");
 /// c.ingest_close(SimTime::from_millis(4), root.trace_id, root.span_id);
@@ -205,37 +205,16 @@ impl Collector {
         Collector::default()
     }
 
-    /// Builds a collector from a finished run's trace by parsing every
-    /// [`OPEN`] / [`CLOSE`] string event, then replaying the binary
-    /// [`odp_fabric::SpanLog`] riding on the trace. Instrumented code
-    /// records through one channel or the other (legacy string payloads
-    /// vs the allocation-free span log), never both for one span, so
-    /// ingesting the streams back-to-back cannot double-open.
+    /// Builds a collector from a finished run's trace by replaying its
+    /// binary [`odp_fabric::SpanLog`].
     pub fn from_trace(trace: &Trace) -> Self {
         let mut c = Collector::new();
-        for e in trace.events() {
-            if e.label == OPEN {
-                match SpanContext::parse_open(&e.data) {
-                    Some((ctx, kind)) => c.ingest_open(e.time, e.node, ctx, kind),
-                    None => c
-                        .errors
-                        .push(format!("malformed open payload {:?}", e.data)),
-                }
-            } else if e.label == CLOSE {
-                match SpanContext::parse_close(&e.data) {
-                    Some((trace_id, span_id)) => c.ingest_close(e.time, trace_id, span_id),
-                    None => c
-                        .errors
-                        .push(format!("malformed close payload {:?}", e.data)),
-                }
-            }
-        }
         let log = trace.spans();
         for e in log.events() {
             let time = SimTime::from_micros(e.time_us);
             match e.op {
                 SpanOp::Open { span, kind } => {
-                    c.ingest_open(time, NodeId(e.node), span.into(), log.kind(kind));
+                    c.ingest_open(time, NodeId(e.node), span, log.kind(kind));
                 }
                 SpanOp::Close { trace_id, span_id } => {
                     c.ingest_close(time, trace_id, span_id);
@@ -318,8 +297,7 @@ impl Collector {
             .count()
     }
 
-    /// Ingestion-level problems (malformed payloads, double opens,
-    /// orphan closes). Structural problems live in
+    /// Ingestion-level problems (double opens, orphan closes). Structural problems live in
     /// [`TraceDag::well_formed`].
     pub fn errors(&self) -> &[String] {
         &self.errors
@@ -481,45 +459,10 @@ mod tests {
         let root = SpanContext::root_with(11, 1);
         let child = root.child_with(2);
         let mut tr = Trace::new();
-        tr.span_open(t(0), NodeId(0), root.carrier(), "rpc.call");
-        tr.span_open(t(3), NodeId(1), child.carrier(), "rpc.serve");
-        tr.span_close(t(4), NodeId(1), child.carrier());
-        tr.span_close(t(8), NodeId(0), root.carrier());
-        let c = Collector::from_trace(&tr);
-        assert!(c.well_formed().is_ok());
-        assert_eq!(c.span_count(), 2);
-        let hists = c.kind_histograms();
-        assert_eq!(
-            hists.get("rpc.serve").map(|h| h.mean()),
-            Some(SimDuration::from_millis(4))
-        );
-    }
-
-    #[test]
-    fn from_trace_merges_string_and_binary_streams() {
-        // Distinct traces through each channel coexist in one collector.
-        let legacy = SpanContext::root_with(20, 1);
-        let fabric = SpanContext::root_with(21, 1);
-        let mut tr = Trace::new();
-        tr.record(t(0), NodeId(0), OPEN, legacy.open_data("old.way"));
-        tr.record(t(2), NodeId(0), CLOSE, legacy.close_data());
-        tr.span_open(t(1), NodeId(1), fabric.carrier(), "new.way");
-        tr.span_close(t(3), NodeId(1), fabric.carrier());
-        let c = Collector::from_trace(&tr);
-        assert!(c.well_formed().is_ok());
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.span_count(), 2);
-    }
-
-    #[test]
-    fn from_trace_round_trips_through_payloads() {
-        let root = SpanContext::root_with(9, 1);
-        let child = root.child_with(2);
-        let mut tr = Trace::new();
-        tr.record(t(0), NodeId(0), OPEN, root.open_data("rpc.call"));
-        tr.record(t(3), NodeId(1), OPEN, child.open_data("rpc.serve"));
-        tr.record(t(4), NodeId(1), CLOSE, child.close_data());
-        tr.record(t(8), NodeId(0), CLOSE, root.close_data());
+        tr.span_open(t(0), NodeId(0), root, "rpc.call");
+        tr.span_open(t(3), NodeId(1), child, "rpc.serve");
+        tr.span_close(t(4), NodeId(1), child);
+        tr.span_close(t(8), NodeId(0), root);
         let c = Collector::from_trace(&tr);
         assert!(c.well_formed().is_ok());
         assert_eq!(c.span_count(), 2);

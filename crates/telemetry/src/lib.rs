@@ -9,12 +9,11 @@
 //! simulator:
 //!
 //! - [`span`] — [`SpanContext`] identities minted from the sim's seeded
-//!   RNG (no wallclock anywhere), a compact textual wire format layered
-//!   on [`odp_sim::trace::Trace`] events, and the [`Carrier`] trait by
-//!   which protocol envelopes piggyback spans across hops;
-//! - [`collector`] — the [`Collector`] assembling spans into per-trace
-//!   causal DAGs, with well-formedness audits and critical-path
-//!   extraction (the longest virtual-time chain — for a quorum group
+//!   RNG (no wallclock anywhere) and the [`Carrier`] trait by which
+//!   protocol envelopes piggyback spans across hops;
+//! - [`collector`] — the [`Collector`] assembling the run's binary span
+//!   log into per-trace causal DAGs, with well-formedness audits and
+//!   critical-path extraction (the longest virtual-time chain — for a quorum group
 //!   RPC, the slowest member's reply chain);
 //! - [`report`] — the serde-modelled [`TelemetryReport`] aggregating
 //!   counters and latency percentiles per subsystem, rendered as
@@ -31,8 +30,8 @@
 //! use odp_telemetry::prelude::*;
 //!
 //! let mut rng = DetRng::seed_from(42);
-//! let call = SpanContext::root(&mut rng);
-//! let serve = call.child(&mut rng);
+//! let call = mint_root(&mut rng);
+//! let serve = mint_child(&call, &mut rng);
 //!
 //! let mut c = Collector::new();
 //! c.ingest_open(SimTime::ZERO, NodeId(0), call, "rpc.call");
@@ -53,15 +52,14 @@
 pub mod collector;
 pub mod report;
 pub mod span;
-pub mod wire;
 
 pub use collector::{Collector, SpanRecord, TraceDag};
 pub use report::{SubsystemReport, TelemetryReport};
-pub use span::{Carrier, SpanContext, CLOSE, OPEN};
+pub use span::{mint_child, mint_root, Carrier, SpanContext};
 
 /// Everything an instrumented subsystem typically needs.
 pub mod prelude {
     pub use crate::collector::{Collector, SpanRecord, TraceDag};
     pub use crate::report::{SubsystemReport, TelemetryReport};
-    pub use crate::span::{Carrier, SpanContext, CLOSE, OPEN};
+    pub use crate::span::{mint_child, mint_root, Carrier, SpanContext};
 }
