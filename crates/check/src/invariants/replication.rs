@@ -84,7 +84,7 @@ pub fn dopt_sim(seed: u64, n: usize) -> Sim<RemoteOp> {
 }
 
 /// [`dopt_sim`] on an explicit event-queue implementation — the
-/// calendar/legacy differential smoke tests build the *same* scenario
+/// default/legacy differential smoke tests build the *same* scenario
 /// on both queues and assert the explorer sees identical schedules.
 pub fn dopt_sim_on(seed: u64, n: usize, queue: QueueKind) -> Sim<RemoteOp> {
     let nodes: Vec<NodeId> = (0..n).map(|i| NodeId(i as u32)).collect();

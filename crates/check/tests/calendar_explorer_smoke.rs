@@ -1,8 +1,10 @@
-//! Explorer smoke test for the calendar queue: the existing deep dOPT
-//! convergence check explores the *identical* schedule space whether
-//! the simulator runs on the calendar queue or the pre-refactor
-//! `BTreeMap` queue — same `ExploreStats`, same run/event counts, and
-//! byte-identical schedules (the executed `seq` stream of every run).
+//! Explorer smoke test for the default event queue (the radix heap
+//! behind `QueueKind::Calendar`, which keeps the name of the calendar
+//! queue it replaced): the existing deep dOPT convergence check
+//! explores the *identical* schedule space whether the simulator runs
+//! on the default queue or the pre-refactor `BTreeMap` queue — same
+//! `ExploreStats`, same run/event counts, and byte-identical schedules
+//! (the executed `seq` stream of every run).
 //!
 //! This is the contract that keeps every recorded `seed:choices`
 //! counterexample in the repo replayable across the queue swap.

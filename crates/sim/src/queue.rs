@@ -1,11 +1,11 @@
-//! Event queues for the engine: the calendar-queue event wheel
-//! (default) and the pre-refactor `BTreeMap` queue (retained for
-//! differential testing and as the scale-bench baseline).
+//! Event queues for the engine: a monotone radix heap (default) and
+//! the pre-refactor `BTreeMap` queue (retained for differential
+//! testing and as the scale-bench baseline).
 //!
 //! Both implementations drain events in exactly the same `(time, seq)`
 //! total order, so a run is bit-identical regardless of which queue it
-//! executes on — the calendar queue only changes *how fast* the order
-//! is produced, never the order itself. See DESIGN.md §10 for the
+//! executes on — the radix heap only changes *how fast* the order is
+//! produced, never the order itself. See DESIGN.md §10 for the
 //! determinism argument.
 
 use std::cell::RefCell;
@@ -21,8 +21,11 @@ use crate::time::SimTime;
 /// [`QueueKind::Calendar`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// Calendar-queue event wheel: O(1) amortized enqueue/dequeue with
-    /// batched same-tick extraction.
+    /// The fast engine path: a monotone radix heap keyed on event time
+    /// (amortized O(1) insert, at most 64 moves per event before its
+    /// pop) with arena-dispatched actors. It keeps the name of the
+    /// calendar queue it replaced because benchmarks, tests and the
+    /// explorer smoke suite select the default engine by this name.
     #[default]
     Calendar,
     /// The pre-refactor engine path: a `BTreeMap<(SimTime, seq)>` event
@@ -51,75 +54,50 @@ pub(crate) struct QueueEntry<T> {
     pub payload: T,
 }
 
-const MIN_BUCKETS: usize = 64;
-/// Wheel size ceiling. Entries-per-bucket is what the pop path pays
-/// (each tick staged out of a bucket rescans it), so the wheel must be
-/// allowed to track the pending count into the millions; 2^20 headers
-/// (~24 MB) still sit inside a server-class last-level cache, while a
-/// bigger wheel turns every insert into a cold miss for little scan
-/// relief.
-const MAX_BUCKETS: usize = 1 << 20;
-const MAX_SHIFT: u32 = 40;
-const INITIAL_SHIFT: u32 = 10; // ~1ms buckets until the first resize
-/// A pop scan longer than this many buckets counts as "long" — the
-/// wheel's width no longer matches the queued distribution.
-const LONG_SCAN_BUCKETS: usize = 32;
-/// Consecutive long scans before the wheel self-heals with a rebuild
-/// (which re-derives the bucket width from the live distribution).
-const LONG_SCAN_POPS: u32 = 8;
-
-/// A Brown-style calendar queue over power-of-two buckets.
+/// A monotone radix heap over event time (Ahuja, Mehlhorn, Orlin &
+/// Tarjan, J. ACM 1990).
 ///
-/// Events hash into `buckets[(time >> shift) & mask]`; buckets are
-/// unsorted. A pop extracts the *entire* earliest tick (every event
-/// sharing the minimal time) into `batch` in one bucket scan, sorts it
-/// by `seq` once, and serves subsequent same-tick pops from the front —
-/// batched same-tick delivery. Same-tick events enqueued *while* the
-/// batch drains append at the back: their `seq` is globally monotone,
-/// so front-to-back remains `(time, seq)` order.
+/// `last` is the time of the most recent min-pop, and no queued entry
+/// is earlier. Entries at exactly `last` wait in `head`; any other
+/// entry sits in bucket `64 - (time ^ last).leading_zeros()` (stored at
+/// `buckets[b - 1]`), the position of the highest bit in which its time
+/// differs from `last`. A bucket's entries therefore all precede every
+/// entry of a higher bucket, and `occupied` (bit `b - 1` set iff bucket
+/// `b` is non-empty) finds the lowest one with one `trailing_zeros`.
 ///
-/// The cursor `cur` is the virtual bucket (`time >> shift`) where the
-/// pop scan resumes. Its invariant — no queued event is earlier than
-/// `cur`'s tick span — holds even under `step_nth` reordering because
-/// every insert asserts `time >= now` upstream and the defensive guard
-/// in [`CalendarQueue::insert`] pulls the cursor back otherwise.
-pub(crate) struct CalendarQueue<T> {
-    buckets: Vec<Vec<QueueEntry<T>>>,
-    shift: u32,
-    mask: u64,
-    /// Total entries, batch included.
+/// When `head` runs dry, a pop moves `last` to the lowest bucket's
+/// minimum and redistributes that bucket around it: entries at the new
+/// `last` go to `head`, the rest to strictly lower buckets. Higher
+/// buckets keep their index, since the new `last` agrees with the old
+/// one above the redistributed bit. Each entry therefore moves at most
+/// 64 times over its life, and nothing needs tuning.
+///
+/// Every bucket, and `head`, stays in `seq` order: seqs are assigned
+/// in enqueue order, inserts append, redistribution fills empty lower
+/// buckets in the order it reads, and removal shifts rather than swaps.
+/// Draining `head` front to back is exactly `(time, seq)` order.
+pub(crate) struct RadixHeap<T> {
+    head: VecDeque<QueueEntry<T>>,
+    buckets: [Vec<QueueEntry<T>>; 64],
+    occupied: u64,
+    last: SimTime,
     len: usize,
-    cur: u64,
-    batch: VecDeque<QueueEntry<T>>,
-    batch_time: SimTime,
-    /// Consecutive pops whose bucket scan exceeded
-    /// [`LONG_SCAN_BUCKETS`]; reaching [`LONG_SCAN_POPS`] triggers a
-    /// width-re-deriving rebuild.
-    long_scans: u32,
-    /// Rebuild (grow) when `len` exceeds this — double the population
-    /// at the last rebuild, so rebuilds stay geometrically spaced even
-    /// when the tick-based wheel size is far below the event count.
-    grow_len: usize,
     /// Ordered `(time, seq) -> meta` side index, armed lazily by the
     /// first `pending_events`/`step_nth` call and mirrored on every
     /// insert/remove thereafter. Explorer workloads pay O(log n) per
     /// queue operation for O(k) ordered traversal and O(log n)
-    /// arbitrary-rank removal; plain runs never build it.
+    /// arbitrary-rank lookup; plain runs never build it.
     index: RefCell<Option<BTreeMap<(SimTime, u64), EvMeta>>>,
 }
 
-impl<T> CalendarQueue<T> {
+impl<T> RadixHeap<T> {
     fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            shift: INITIAL_SHIFT,
-            mask: MIN_BUCKETS as u64 - 1,
+        RadixHeap {
+            head: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            last: SimTime::ZERO,
             len: 0,
-            cur: 0,
-            batch: VecDeque::new(),
-            batch_time: SimTime::ZERO,
-            long_scans: 0,
-            grow_len: MIN_BUCKETS * 2,
             index: RefCell::new(None),
         }
     }
@@ -128,130 +106,76 @@ impl<T> CalendarQueue<T> {
         self.len
     }
 
+    /// The bucket `time` belongs in relative to `last`; 0 means `head`.
+    fn bucket_of(&self, time: SimTime) -> usize {
+        64 - (time.as_micros() ^ self.last.as_micros()).leading_zeros() as usize
+    }
+
+    fn place(&mut self, e: QueueEntry<T>) {
+        match self.bucket_of(e.time) {
+            0 => self.head.push_back(e),
+            b => {
+                self.buckets[b - 1].push(e);
+                self.occupied |= 1 << (b - 1);
+            }
+        }
+    }
+
     fn insert(&mut self, e: QueueEntry<T>) {
+        // The engine only schedules at or after `now`, and `last` never
+        // passes `now`. An earlier key would land in the wrong bucket
+        // and silently reorder the drain, so this stays a hard check.
+        assert!(
+            e.time >= self.last,
+            "event at {:?} queued before the last popped time {:?}",
+            e.time,
+            self.last
+        );
         if let Some(idx) = self.index.get_mut() {
             idx.insert((e.time, e.seq), e.meta);
         }
         self.len += 1;
-        if !self.batch.is_empty() && e.time == self.batch_time {
-            // Enqueued mid-batch at the batch's own tick: seqs are
-            // assigned in enqueue order, so appending keeps the batch
-            // sorted.
-            debug_assert!(self.batch.back().is_none_or(|b| b.seq < e.seq));
-            self.batch.push_back(e);
-            return;
-        }
-        let day = e.time.as_micros() >> self.shift;
-        if day < self.cur {
-            self.cur = day;
-        }
-        let b = (day & self.mask) as usize;
-        self.buckets[b].push(e);
-        // Thresholds count wheel residents only: a staged batch is
-        // already extracted, so it must not be able to hold `len` above
-        // the grow trigger and re-fire a rebuild on every insert.
-        let residents = self.len - self.batch.len();
-        if residents > self.grow_len {
-            let target = residents
-                .saturating_mul(2)
-                .next_power_of_two()
-                .clamp(MIN_BUCKETS, MAX_BUCKETS);
-            if target == self.buckets.len() {
-                // Usually the MAX_BUCKETS cap: a rebuild would reshuffle
-                // millions of entries into the same wheel size for
-                // nothing. Back the trigger off geometrically instead;
-                // width pathologies are healed by the long-scan signal.
-                self.grow_len = self.grow_len.saturating_mul(2);
-            } else {
-                self.rebuild();
-            }
-        }
+        self.place(e);
     }
 
-    /// The earliest tick with a queued (non-staged) event: its time,
-    /// its bucket, and how many buckets the scan visited (the width
-    /// health signal). Read-only; the caller persists any cursor jump.
-    fn find_next_tick(&self) -> Option<(SimTime, usize, usize)> {
-        if self.len == self.batch.len() {
-            return None;
+    /// Refills the empty `head` from the lowest non-empty bucket, iff
+    /// that bucket's minimum is due at or before `limit`. A deadline
+    /// miss leaves `last` alone, so later injections before the next
+    /// queued event stay legal inserts.
+    fn refill(&mut self, limit: SimTime) -> bool {
+        debug_assert!(self.head.is_empty());
+        if self.occupied == 0 {
+            return false;
         }
-        let mut day = self.cur;
-        for scanned in 0..self.buckets.len() {
-            let b = (day & self.mask) as usize;
-            let mut best: Option<SimTime> = None;
-            for e in &self.buckets[b] {
-                if e.time.as_micros() >> self.shift == day && best.is_none_or(|t| e.time < t) {
-                    best = Some(e.time);
-                }
-            }
-            if let Some(t) = best {
-                return Some((t, b, scanned));
-            }
-            day = day.wrapping_add(1);
+        let b = self.occupied.trailing_zeros() as usize;
+        let min = self.buckets[b]
+            .iter()
+            .map(|e| e.time)
+            .min()
+            .expect("an occupied bucket holds entries");
+        if min > limit {
+            return false;
         }
-        // Nothing within one full wheel rotation — the horizon is
-        // sparse. Scan every bucket once for the global minimum and
-        // jump straight there.
-        let mut best: Option<SimTime> = None;
-        for bucket in &self.buckets {
-            for e in bucket {
-                if best.is_none_or(|t| e.time < t) {
-                    best = Some(e.time);
-                }
-            }
+        self.last = min;
+        self.occupied &= !(1 << b);
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        for e in bucket.drain(..) {
+            self.place(e);
         }
-        let t = best?;
-        Some((
-            t,
-            ((t.as_micros() >> self.shift) & self.mask) as usize,
-            2 * self.buckets.len(),
-        ))
-    }
-
-    /// Moves every event at time `tmin` from bucket `b` into the batch,
-    /// sorted by `seq`, and parks the cursor on that tick.
-    ///
-    /// The extraction preserves bucket order. Buckets are filled by
-    /// `push`, and seqs are assigned in enqueue order, so a bucket that
-    /// has only ever been pushed to is already seq-sorted — the sort
-    /// below then sees sorted input and finishes in one linear run.
-    /// Rebuilds and prior stages can scramble residual order, so the
-    /// sort stays as the guarantee rather than the common case.
-    fn stage(&mut self, tmin: SimTime, b: usize) {
-        debug_assert!(self.batch.is_empty());
-        let bucket = &mut self.buckets[b];
-        for e in bucket.extract_if(.., |e| e.time == tmin) {
-            self.batch.push_back(e);
-        }
-        self.batch.make_contiguous().sort_unstable_by_key(|e| e.seq);
-        self.batch_time = tmin;
-        self.cur = tmin.as_micros() >> self.shift;
+        // Hand the emptied vector back so its capacity is reused.
+        self.buckets[b] = bucket;
+        true
     }
 
     fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
-        if self.batch.is_empty() {
-            let (mut tmin, mut b, scanned) = self.find_next_tick()?;
-            if scanned > LONG_SCAN_BUCKETS {
-                // The bucket width was tuned for a distribution that no
-                // longer matches the queue (e.g. a same-instant burst
-                // followed by a wide timer spread). Re-derive it.
-                self.long_scans += 1;
-                if self.long_scans >= LONG_SCAN_POPS {
-                    self.long_scans = 0;
-                    self.rebuild();
-                    (tmin, b, _) = self.find_next_tick()?;
-                }
-            } else {
-                self.long_scans = 0;
-            }
-            if tmin > limit {
+        if self.head.is_empty() {
+            if !self.refill(limit) {
                 return None;
             }
-            self.stage(tmin, b);
-        } else if self.batch_time > limit {
+        } else if self.last > limit {
             return None;
         }
-        let e = self.batch.pop_front()?;
+        let e = self.head.pop_front()?;
         self.len -= 1;
         if let Some(idx) = self.index.get_mut() {
             idx.remove(&(e.time, e.seq));
@@ -260,32 +184,38 @@ impl<T> CalendarQueue<T> {
     }
 
     fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if let Some(front) = self.batch.front() {
+        if let Some(front) = self.head.front() {
             return Some((front.time, front.seq));
         }
-        let (t, b, _) = self.find_next_tick()?;
-        let mut best = u64::MAX;
-        for e in &self.buckets[b] {
-            if e.time == t {
-                best = best.min(e.seq);
-            }
+        if self.occupied == 0 {
+            return None;
         }
-        Some((t, best))
+        // The bucket is seq-ordered and `min_by_key` keeps the first of
+        // equal minima, so this is the least seq at the least time.
+        let b = self.occupied.trailing_zeros() as usize;
+        self.buckets[b]
+            .iter()
+            .min_by_key(|e| e.time)
+            .map(|e| (e.time, e.seq))
     }
 
     fn remove_key(&mut self, time: SimTime, seq: u64) -> Option<QueueEntry<T>> {
-        let e = if !self.batch.is_empty() && time == self.batch_time {
-            // A stage() moves *every* event at its tick into the batch
-            // and later same-tick inserts append there too, so the
-            // batch is the only possible home for this key.
-            let i = self.batch.iter().position(|e| e.seq == seq)?;
-            self.batch.remove(i)?
-        } else {
-            let b = ((time.as_micros() >> self.shift) & self.mask) as usize;
-            let i = self.buckets[b]
-                .iter()
-                .position(|e| e.time == time && e.seq == seq)?;
-            self.buckets[b].swap_remove(i)
+        let e = match self.bucket_of(time) {
+            0 => {
+                let i = self.head.iter().position(|e| e.seq == seq)?;
+                self.head.remove(i)?
+            }
+            b => {
+                let bucket = &mut self.buckets[b - 1];
+                let i = bucket.iter().position(|e| e.seq == seq)?;
+                // `remove`, never `swap_remove`: the bucket must stay in
+                // seq order.
+                let e = bucket.remove(i);
+                if bucket.is_empty() {
+                    self.occupied &= !(1 << (b - 1));
+                }
+                e
+            }
         };
         self.len -= 1;
         if let Some(idx) = self.index.get_mut() {
@@ -309,16 +239,8 @@ impl<T> CalendarQueue<T> {
         if idx.is_some() {
             return;
         }
-        let mut map = BTreeMap::new();
-        for bucket in &self.buckets {
-            for e in bucket {
-                map.insert((e.time, e.seq), e.meta);
-            }
-        }
-        for e in &self.batch {
-            map.insert((e.time, e.seq), e.meta);
-        }
-        *idx = Some(map);
+        let entries = self.head.iter().chain(self.buckets.iter().flatten());
+        *idx = Some(entries.map(|e| ((e.time, e.seq), e.meta)).collect());
     }
 
     fn for_each_in_order(&self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
@@ -329,125 +251,42 @@ impl<T> CalendarQueue<T> {
             }
         }
     }
-
-    /// Re-sizes the wheel to ~2 buckets per event (capped at
-    /// [`MAX_BUCKETS`]) and re-derives the bucket width from one
-    /// constraint: a single wheel rotation must span the queued
-    /// horizon. With the span covering the horizon no bucket ever
-    /// mixes events from different rotations, so a stage only scans
-    /// its own tick's bucket-neighbours and the pop path stays O(1)
-    /// amortized regardless of how events cluster — a 20k-event
-    /// aligned tick is one bucket drained in one stage, and a uniform
-    /// spread puts ~1 event in each bucket. The horizon is measured at
-    /// a sampled 95th percentile so a single far-future straggler
-    /// cannot stretch the width and pile the live bulk into a handful
-    /// of buckets; the tail past the span wraps and is reconsidered at
-    /// the next self-heal rebuild. Rebuilds fire only when the wheel
-    /// size would actually change (growth below the cap) or when the
-    /// long-scan signal says the width no longer fits the distribution
-    /// — a population at the [`MAX_BUCKETS`] cap never pays reshuffles
-    /// for further growth, and a draining queue never pays shrink
-    /// reshuffles at all. O(n + buckets), amortized against the
-    /// doubling that triggered it. Membership is unchanged, so the
-    /// explorer index needs no update.
-    fn rebuild(&mut self) {
-        let n = self.len - self.batch.len();
-        let nbuckets = n
-            .saturating_mul(2)
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        // First pass, read-only: time bounds plus a strided ~1k sample
-        // whose 95th percentile is the horizon the wheel must span. The
-        // percentile keeps a single far-future straggler from
-        // stretching the width and piling the live bulk into a handful
-        // of buckets; the tail past the span wraps and is reconsidered
-        // at the next self-heal rebuild.
-        let stride = (n / 1024).max(1);
-        let mut sample: Vec<u64> = Vec::with_capacity(n.div_ceil(stride));
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        let mut i = 0usize;
-        for bucket in &self.buckets {
-            for e in bucket {
-                let t = e.time.as_micros();
-                lo = lo.min(t);
-                hi = hi.max(t);
-                if i.is_multiple_of(stride) {
-                    sample.push(t);
-                }
-                i += 1;
-            }
-        }
-        // Re-derive the bucket width — but only when the residents
-        // actually spread out. A same-instant burst (every actor's
-        // Start event at t=0) says nothing about future gaps, and
-        // collapsing the width to 1 µs would strand later wide-spread
-        // timers across thousands of empty buckets.
-        if n >= 2 && hi > lo {
-            sample.sort_unstable();
-            let s = sample.len();
-            let pct95 = sample[s - 1 - s / 20];
-            // Fall back to `hi` when the percentile collapses onto `lo`
-            // (≥95 % of the queue at one instant): the burst drains in
-            // a single stage anyway, so the width should serve whatever
-            // is spread behind it.
-            let robust_hi = if pct95 > lo { pct95 } else { hi };
-            let width = ((robust_hi - lo) / nbuckets as u64).max(1);
-            // Round *up* to the next power of two: rounding down would
-            // halve the span and wrap the tail ticks onto the head
-            // buckets.
-            let ceil_log2 = 64 - (width - 1).leading_zeros();
-            self.shift = ceil_log2.min(MAX_SHIFT);
-        }
-        // Second pass: re-scatter into the new wheel bucket by bucket,
-        // never materializing the whole population in one flat vector.
-        let old = std::mem::replace(
-            &mut self.buckets,
-            (0..nbuckets).map(|_| Vec::new()).collect(),
-        );
-        self.mask = nbuckets as u64 - 1;
-        self.cur = if n == 0 { 0 } else { lo >> self.shift };
-        for bucket in old {
-            for e in bucket {
-                let b = ((e.time.as_micros() >> self.shift) & self.mask) as usize;
-                self.buckets[b].push(e);
-            }
-        }
-        self.grow_len = (n * 2).max(MIN_BUCKETS * 2);
-    }
 }
 
 /// The engine-facing queue: one API, two implementations, identical
 /// drain order.
 pub(crate) enum EventQueue<T> {
-    Calendar(CalendarQueue<T>),
+    /// Boxed: 64 inline bucket headers would make every `EventQueue`
+    /// (and `Sim`) ~1.6 KB wider.
+    Radix(Box<RadixHeap<T>>),
     Legacy(BTreeMap<(SimTime, u64), (EvMeta, T)>),
 }
 
 impl<T> EventQueue<T> {
     pub fn new(kind: QueueKind) -> Self {
         match kind {
-            QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
+            QueueKind::Calendar => EventQueue::Radix(Box::new(RadixHeap::new())),
             QueueKind::Legacy => EventQueue::Legacy(BTreeMap::new()),
         }
     }
 
     pub fn kind(&self) -> QueueKind {
         match self {
-            EventQueue::Calendar(_) => QueueKind::Calendar,
+            EventQueue::Radix(_) => QueueKind::Calendar,
             EventQueue::Legacy(_) => QueueKind::Legacy,
         }
     }
 
     pub fn len(&self) -> usize {
         match self {
-            EventQueue::Calendar(q) => q.len(),
+            EventQueue::Radix(q) => q.len(),
             EventQueue::Legacy(map) => map.len(),
         }
     }
 
     pub fn insert(&mut self, time: SimTime, seq: u64, meta: EvMeta, payload: T) {
         match self {
-            EventQueue::Calendar(q) => q.insert(QueueEntry {
+            EventQueue::Radix(q) => q.insert(QueueEntry {
                 time,
                 seq,
                 meta,
@@ -468,7 +307,7 @@ impl<T> EventQueue<T> {
     /// deadline-bounded runs.
     pub fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
         match self {
-            EventQueue::Calendar(q) => q.pop_first_at_or_before(limit),
+            EventQueue::Radix(q) => q.pop_first_at_or_before(limit),
             EventQueue::Legacy(map) => {
                 let (&(time, _), _) = map.first_key_value()?;
                 if time > limit {
@@ -487,7 +326,7 @@ impl<T> EventQueue<T> {
 
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         match self {
-            EventQueue::Calendar(q) => q.peek_key(),
+            EventQueue::Radix(q) => q.peek_key(),
             EventQueue::Legacy(map) => map.keys().next().copied(),
         }
     }
@@ -495,7 +334,7 @@ impl<T> EventQueue<T> {
     /// Removes the `n`-th queued event in `(time, seq)` order.
     pub fn remove_nth(&mut self, n: usize) -> Option<QueueEntry<T>> {
         match self {
-            EventQueue::Calendar(q) => q.remove_nth(n),
+            EventQueue::Radix(q) => q.remove_nth(n),
             EventQueue::Legacy(map) => {
                 let key = map.keys().nth(n).copied()?;
                 map.remove(&key).map(|(meta, payload)| QueueEntry {
@@ -511,7 +350,7 @@ impl<T> EventQueue<T> {
     /// Visits every queued event's `(time, seq, meta)` in drain order.
     pub fn for_each_in_order(&self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
         match self {
-            EventQueue::Calendar(q) => q.for_each_in_order(f),
+            EventQueue::Radix(q) => q.for_each_in_order(f),
             EventQueue::Legacy(map) => {
                 for (&(time, seq), &(meta, _)) in map.iter() {
                     f(time, seq, meta);
@@ -524,6 +363,8 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const KINDS: [QueueKind; 2] = [QueueKind::Calendar, QueueKind::Legacy];
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -585,21 +426,26 @@ mod tests {
 
     #[test]
     fn same_tick_inserts_during_batch_stay_in_seq_order() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
-        for s in 0..4u64 {
-            let (time, seq, meta, payload) = entry(100, s);
-            q.insert(time, seq, meta, payload);
+        for kind in KINDS {
+            let mut q = EventQueue::new(kind);
+            // A later event first, so the tick-100 entries start out in
+            // a bucket rather than in `head`.
+            q.insert(t(200), 0, EvMeta::NetChange, 0);
+            for s in 1..5u64 {
+                let (time, seq, meta, payload) = entry(100, s);
+                q.insert(time, seq, meta, payload);
+            }
+            // Pop one: moves the 4-event tick 100 into `head`.
+            let first = q.pop_first().expect("queued");
+            assert_eq!((first.time, first.seq), (t(100), 1));
+            // While `head` drains, enqueue two more at the same tick.
+            for s in 10..12u64 {
+                let (time, seq, meta, payload) = entry(100, s);
+                q.insert(time, seq, meta, payload);
+            }
+            let rest: Vec<u64> = std::iter::from_fn(|| q.pop_first().map(|e| e.seq)).collect();
+            assert_eq!(rest, vec![2, 3, 4, 10, 11, 0], "{kind:?}");
         }
-        // Pop one: stages the 4-event batch for tick 100.
-        let first = q.pop_first().expect("staged");
-        assert_eq!((first.time, first.seq), (t(100), 0));
-        // Mid-batch, enqueue two more at the same tick.
-        for s in 10..12u64 {
-            let (time, seq, meta, payload) = entry(100, s);
-            q.insert(time, seq, meta, payload);
-        }
-        let rest: Vec<u64> = std::iter::from_fn(|| q.pop_first().map(|e| e.seq)).collect();
-        assert_eq!(rest, vec![1, 2, 3, 10, 11]);
     }
 
     #[test]
@@ -644,10 +490,10 @@ mod tests {
     }
 
     #[test]
-    fn wheel_resizes_through_growth_and_drain() {
+    fn wide_spread_drains_sorted_through_growth() {
         let mut q = EventQueue::new(QueueKind::Calendar);
-        // Far beyond the initial 64 buckets, with a huge time span to
-        // force a width re-derivation too.
+        // Thousands of entries over a 50 s span, so redistributions
+        // cascade through many bucket levels.
         let n = 10_000u64;
         for s in 0..n {
             let us = (s * 7_919) % 50_000_000;
@@ -661,25 +507,94 @@ mod tests {
 
     #[test]
     fn sparse_far_future_events_are_found() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
-        q.insert(t(0), 0, EvMeta::NetChange, 0);
-        // A full wheel rotation away at the initial width.
-        q.insert(t(1 << 30), 1, EvMeta::NetChange, 1);
-        q.insert(t(1 << 50), 2, EvMeta::NetChange, 2);
-        assert_eq!(drain(&mut q), vec![(0, 0), (1 << 30, 1), (1 << 50, 2)]);
+        for kind in KINDS {
+            let mut q = EventQueue::new(kind);
+            // Far apart, up to the largest key: each lands in a
+            // different high bucket.
+            q.insert(SimTime::MAX, 0, EvMeta::NetChange, 0);
+            q.insert(t(1 << 50), 1, EvMeta::NetChange, 1);
+            q.insert(t(0), 2, EvMeta::NetChange, 2);
+            q.insert(t(1 << 30), 3, EvMeta::NetChange, 3);
+            q.insert(SimTime::MAX, 4, EvMeta::NetChange, 4);
+            assert_eq!(
+                drain(&mut q),
+                vec![
+                    (0, 2),
+                    (1 << 30, 3),
+                    (1 << 50, 1),
+                    (u64::MAX, 0),
+                    (u64::MAX, 4)
+                ],
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]
     fn deadline_bounded_pop_leaves_later_events() {
-        for kind in [QueueKind::Calendar, QueueKind::Legacy] {
+        for kind in KINDS {
             let mut q = EventQueue::new(kind);
             q.insert(t(10), 0, EvMeta::NetChange, 0);
             q.insert(t(20), 1, EvMeta::NetChange, 1);
+            q.insert(t(10), 2, EvMeta::NetChange, 2);
             assert!(q.pop_first_at_or_before(t(5)).is_none());
             assert_eq!(q.pop_first_at_or_before(t(10)).map(|e| e.seq), Some(0));
+            // A limit below the tick already being drained.
+            assert!(q.pop_first_at_or_before(t(9)).is_none());
+            assert_eq!(q.pop_first_at_or_before(t(15)).map(|e| e.seq), Some(2));
             assert!(q.pop_first_at_or_before(t(15)).is_none());
             assert_eq!(q.len(), 1);
             assert_eq!(q.peek_key(), Some((t(20), 1)));
+        }
+    }
+
+    #[test]
+    fn removing_from_a_bucket_keeps_same_time_entries_in_seq_order() {
+        for kind in KINDS {
+            let mut q = EventQueue::new(kind);
+            // Pop t=0 so the rest share one bucket rather than `head`;
+            // t=900 goes in first so the bucket ends in t=700 entries.
+            q.insert(t(0), 0, EvMeta::NetChange, 0);
+            q.insert(t(900), 1, EvMeta::NetChange, 1);
+            for s in 2..7u64 {
+                q.insert(t(700), s, EvMeta::NetChange, s);
+            }
+            assert_eq!(q.pop_first().map(|e| e.seq), Some(0));
+            // Rank 1 is (700, seq 3), in the middle of the bucket.
+            assert_eq!(q.remove_nth(1).map(|e| e.seq), Some(3), "{kind:?}");
+            assert_eq!(
+                drain(&mut q),
+                vec![(700, 2), (700, 4), (700, 5), (700, 6), (900, 1)],
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn injection_after_a_deadline_miss_drains_first() {
+        use crate::actor::{Actor, Ctx};
+        use crate::sim::{RunOutcome, SimBuilder, Until};
+
+        struct Sink;
+        impl Actor<u32> for Sink {
+            fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+        }
+
+        for kind in KINDS {
+            let mut sim = SimBuilder::new(1).queue(kind).build();
+            sim.add_actor(NodeId(0), Sink);
+            sim.inject(t(1_000), NodeId(0), NodeId(0), 1);
+            let d = t(500);
+            assert_eq!(sim.run(Until::At(d)), RunOutcome::DeadlineHit);
+            assert_eq!(sim.now(), d);
+            // Earlier than the queued t=1000 event: a deadline miss
+            // must not have moved the queue past it.
+            sim.inject(t(501), NodeId(0), NodeId(0), 2);
+            let mut times = Vec::new();
+            while sim.step() {
+                times.extend(sim.last_executed().map(|e| e.desc.time()));
+            }
+            assert_eq!(times, vec![t(501), t(1_000)], "{kind:?}");
         }
     }
 }

@@ -6,9 +6,9 @@
 //! configuration and seed produce identical traces.
 //!
 //! Sims are configured through [`SimBuilder`] and driven with
-//! [`Sim::run`]; the scheduler underneath is a calendar-queue event
-//! wheel with arena-allocated actor slots (see DESIGN.md §10), with the
-//! pre-refactor `BTreeMap` engine retained behind
+//! [`Sim::run`]; the scheduler underneath is a monotone radix heap
+//! keyed on event time, with arena-allocated actor slots (see DESIGN.md
+//! §10), with the pre-refactor `BTreeMap` engine retained behind
 //! [`QueueKind::Legacy`] for differential testing.
 
 use std::any::Any;
@@ -286,8 +286,9 @@ pub struct SimBuilder {
 }
 
 impl SimBuilder {
-    /// Starts a builder with the default (LAN) network, the calendar
-    /// queue, telemetry on, and a 50M-event runaway guard.
+    /// Starts a builder with the default (LAN) network, the radix-heap
+    /// queue ([`QueueKind::Calendar`]), telemetry on, and a 50M-event
+    /// runaway guard.
     pub fn new(seed: u64) -> Self {
         SimBuilder {
             seed,
@@ -314,8 +315,8 @@ impl SimBuilder {
     }
 
     /// Selects the event-queue implementation (default
-    /// [`QueueKind::Calendar`]). [`QueueKind::Legacy`] exists for
-    /// differential tests and the scale-bench baseline.
+    /// [`QueueKind::Calendar`], the radix heap). [`QueueKind::Legacy`]
+    /// exists for differential tests and the scale-bench baseline.
     pub fn queue(mut self, kind: QueueKind) -> Self {
         self.queue = kind;
         self
@@ -731,9 +732,9 @@ impl<M: 'static> Sim<M> {
 
     /// Descriptions of every queued event in `(time, seq)` order — the
     /// order [`Sim::step`] would process them. Index `n` here is the `n`
-    /// accepted by [`Sim::step_nth`]. On the calendar queue the first
-    /// call arms an ordered side index that is mirrored from then on,
-    /// so this stays an O(k) traversal rather than a sort.
+    /// accepted by [`Sim::step_nth`]. On the radix heap the first call
+    /// arms an ordered side index that is mirrored from then on, so
+    /// this stays an O(k) traversal rather than a sort.
     pub fn pending_events(&self) -> Vec<PendingEvent> {
         let mut out = Vec::with_capacity(self.queue.len());
         self.queue.for_each_in_order(|time, seq, meta| {

@@ -1,8 +1,10 @@
-//! Differential suite: the calendar queue and the pre-refactor
-//! `BTreeMap` queue drain every workload in the identical `(time, seq)`
-//! order, with identical `ExecutedEvent` streams, RNG draws, traces and
-//! metrics — the determinism contract DPOR exploration and trace replay
-//! rely on.
+//! Differential suite: the default radix-heap queue and the
+//! pre-refactor `BTreeMap` queue drain every workload in the identical
+//! `(time, seq)` order, with identical `ExecutedEvent` streams, RNG
+//! draws, traces and metrics — the determinism contract DPOR
+//! exploration and trace replay rely on.
+
+use std::collections::BTreeMap;
 
 use odp_sim::prelude::*;
 use proptest::prelude::*;
@@ -144,8 +146,8 @@ fn ten_thousand_random_injections_drain_identically() {
     assert_equivalent(0xDE5, 8, &injections);
 }
 
-/// Same-instant storms (many events on one tick) exercise the calendar
-/// queue's batch staging and mid-batch same-tick appends.
+/// Same-instant storms (many events on one tick) exercise the radix
+/// heap's `head` refills and same-tick appends while `head` drains.
 #[test]
 fn same_tick_storms_drain_identically() {
     let mut injections = Vec::new();
@@ -171,5 +173,103 @@ proptest! {
         ),
     ) {
         assert_equivalent(seed, 5, &injections);
+    }
+}
+
+/// What one driver action in [`interleave_on`] observed.
+#[derive(Debug, PartialEq)]
+enum Observed {
+    Executed(ExecutedEvent),
+    Run(RunOutcome),
+    Now(SimTime),
+}
+
+/// Applies one drawn `(op, arg, from, to, msg)` action: a `step`, a
+/// `step_nth` below the pending count, or a deadline-bounded run
+/// followed by an injection.
+fn apply(sim: &mut Sim<u32>, op: (u8, u64, u32, u32, u32), seen: &mut Vec<Observed>) {
+    let (kind, arg, from, to, msg) = op;
+    let stepped = match kind {
+        0..=3 => sim.step(),
+        4..=5 => {
+            let pending = sim.pending_events().len();
+            pending > 0 && sim.step_nth(arg as usize % pending)
+        }
+        _ => {
+            // Stop short of (or past) the next event, then inject
+            // between the deadline and whatever is still queued. After
+            // a `step_nth` the deadline may also fall before `now`.
+            let base = sim.now().as_micros().saturating_sub(1_000);
+            let deadline = SimTime::from_micros(base + arg % 4_000);
+            seen.push(Observed::Run(sim.run(Until::At(deadline))));
+            let at = sim.now() + SimDuration::from_micros(arg % 97);
+            sim.inject(at, NodeId(from), NodeId(to), msg);
+            false
+        }
+    };
+    if stepped {
+        seen.extend(sim.last_executed().map(Observed::Executed));
+    }
+    seen.push(Observed::Now(sim.now()));
+}
+
+/// Runs `ops` on a fresh five-node scenario over `kind`, then drains
+/// it, returning what each action observed, the sim and its non-zero
+/// `sim.*` counters.
+fn interleave_on(
+    kind: QueueKind,
+    seed: u64,
+    ops: &[(u8, u64, u32, u32, u32)],
+) -> (Vec<Observed>, Sim<u32>, BTreeMap<String, u64>) {
+    let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
+    let mut sim = SimBuilder::new(seed)
+        .network(lossy_net())
+        .queue(kind)
+        .max_events(200_000)
+        .build();
+    for &me in &ids {
+        let peers: Vec<NodeId> = ids.iter().copied().filter(|&p| p != me).collect();
+        sim.add_actor(me, Churner::new(peers));
+    }
+    let mut seen = Vec::new();
+    for &op in ops {
+        apply(&mut sim, op, &mut seen);
+    }
+    while sim.step() {
+        seen.extend(sim.last_executed().map(Observed::Executed));
+    }
+    let counters = sim
+        .metrics()
+        .counters()
+        .filter(|&(name, v)| name.starts_with("sim.") && v > 0)
+        .map(|(name, v)| (name.to_string(), v))
+        .collect();
+    (seen, sim, counters)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The explorer's paths, not just `step()`: arbitrary interleavings
+    /// of `step`, `step_nth(k)` for any `k` below the pending count,
+    /// and deadline-bounded runs followed by an injection produce the
+    /// same executed events, clock and counters on both queues.
+    #[test]
+    fn queues_agree_under_step_nth_and_deadline_injections(
+        seed in any::<u64>(),
+        ops in prop::collection::vec(
+            (0u8..8, any::<u64>(), 0u32..5, 0u32..5, 0u32..1_000),
+            1..200,
+        ),
+    ) {
+        let (cal_seen, cal, cal_counters) = interleave_on(QueueKind::Calendar, seed, &ops);
+        let (leg_seen, leg, leg_counters) = interleave_on(QueueKind::Legacy, seed, &ops);
+        prop_assert_eq!(cal_seen.len(), leg_seen.len());
+        for (a, b) in cal_seen.iter().zip(&leg_seen) {
+            prop_assert_eq!(a, b);
+        }
+        prop_assert_eq!(cal.now(), leg.now());
+        prop_assert_eq!(cal.trace().events(), leg.trace().events());
+        prop_assert_eq!(cal_counters, leg_counters);
     }
 }
