@@ -4,8 +4,9 @@
 //! The paper's requirements (§4.2.1), all realised here:
 //!
 //! - policies are based on **roles**, not individual identity;
-//! - roles are **dynamic**: assignments change during a collaboration in
-//!   O(1), without re-administering per-object lists;
+//! - roles are **dynamic**: assignments change during a collaboration
+//!   at the cost of one subject's role closure, without re-administering
+//!   per-object lists;
 //! - control is **fine-grained**: objects are hierarchical paths
 //!   (`"report/sec2/para3"`, down to individual lines) and rules attach
 //!   at any level, inherited downward;
@@ -37,9 +38,13 @@ impl fmt::Display for RoleId {
 pub struct ObjectPath(String);
 
 impl ObjectPath {
-    /// Creates a path, trimming redundant slashes.
+    /// Creates a path, trimming redundant slashes. An already normalised
+    /// input (no leading or trailing `/`, no `//`) is kept as it is.
     pub fn new(path: impl Into<String>) -> Self {
         let raw: String = path.into();
+        if !raw.starts_with('/') && !raw.ends_with('/') && !raw.contains("//") {
+            return ObjectPath(raw);
+        }
         let cleaned: Vec<&str> = raw.split('/').filter(|s| !s.is_empty()).collect();
         ObjectPath(cleaned.join("/"))
     }
@@ -60,10 +65,11 @@ impl ObjectPath {
 
     /// True if `self` is `other` or an ancestor of it.
     pub fn covers(&self, other: &ObjectPath) -> bool {
-        if self.0.is_empty() {
-            return true; // root covers everything
-        }
-        other.0 == self.0 || other.0.starts_with(&format!("{}/", self.0))
+        let (mine, theirs) = (self.0.as_bytes(), other.0.as_bytes());
+        // The root covers everything; otherwise `other` must be `self`
+        // or continue it with a `/`.
+        mine.is_empty()
+            || (theirs.starts_with(mine) && theirs.get(mine.len()).is_none_or(|&b| b == b'/'))
     }
 
     /// The parent path (`None` at the root).
@@ -109,12 +115,16 @@ pub struct Rule {
 
 /// The decision for one access check, with its justification.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Decision {
+pub struct Decision<'a> {
     /// Whether access is granted.
     pub allowed: bool,
-    /// The rule that decided it (None = default deny).
-    pub because: Option<Rule>,
+    /// The rule that decided it (None = default deny), borrowed from
+    /// the policy.
+    pub because: Option<&'a Rule>,
 }
+
+/// The effective role set of a subject with no assignments.
+static NO_ROLES: BTreeSet<RoleId> = BTreeSet::new();
 
 /// The Shen–Dewan policy engine.
 ///
@@ -139,6 +149,9 @@ pub struct RbacPolicy {
     assignments: BTreeMap<Subject, BTreeSet<RoleId>>,
     /// role -> roles it inherits from (junior roles).
     inherits: BTreeMap<RoleId, BTreeSet<RoleId>>,
+    /// subject -> effective roles, kept up to date by every mutator of
+    /// `assignments` and `inherits` so `check` only borrows.
+    effective: BTreeMap<Subject, BTreeSet<RoleId>>,
     role_changes: u64,
 }
 
@@ -159,21 +172,33 @@ impl RbacPolicy {
     }
 
     /// Declares that `senior` inherits all permissions of `junior`.
+    ///
+    /// Recomputes the effective role set of every assigned subject.
     pub fn add_inheritance(&mut self, senior: RoleId, junior: RoleId) {
         self.inherits.entry(senior).or_default().insert(junior);
+        self.effective = self
+            .assignments
+            .keys()
+            .map(|&subject| (subject, self.closure(subject)))
+            .collect();
     }
 
-    /// Assigns a role to a subject — an O(1) *dynamic* change, the
-    /// operation static schemes cannot express without re-administration.
+    /// Assigns a role to a subject — a *dynamic* change, the operation
+    /// static schemes cannot express without re-administration. It costs
+    /// one recomputation of this subject's effective role set (its
+    /// roles' inheritance closure), so every later check only borrows it.
     pub fn assign(&mut self, subject: Subject, role: RoleId) {
         self.assignments.entry(subject).or_default().insert(role);
+        self.refresh(subject);
         self.role_changes += 1;
     }
 
-    /// Removes a role from a subject (equally dynamic).
+    /// Removes a role from a subject (equally dynamic, same cost as
+    /// [`RbacPolicy::assign`]).
     pub fn unassign(&mut self, subject: Subject, role: RoleId) {
         if let Some(roles) = self.assignments.get_mut(&subject) {
             roles.remove(&role);
+            self.refresh(subject);
         }
         self.role_changes += 1;
     }
@@ -189,13 +214,30 @@ impl RbacPolicy {
     /// The subject's effective roles (direct plus transitively inherited
     /// junior roles).
     pub fn effective_roles(&self, subject: Subject) -> BTreeSet<RoleId> {
+        self.effective.get(&subject).cloned().unwrap_or_default()
+    }
+
+    /// Recomputes one subject's effective role set.
+    fn refresh(&mut self, subject: Subject) {
+        let roles = self.closure(subject);
+        self.effective.insert(subject, roles);
+    }
+
+    /// Direct roles plus transitively inherited junior roles.
+    fn closure(&self, subject: Subject) -> BTreeSet<RoleId> {
         let mut out = BTreeSet::new();
-        let mut stack: Vec<RoleId> = self.roles_of(subject);
-        while let Some(role) = stack.pop() {
-            if out.insert(role) {
-                if let Some(juniors) = self.inherits.get(&role) {
-                    stack.extend(juniors.iter().copied());
+        // Juniors still to visit: it allocates only once a visited role
+        // inherits from another.
+        let mut stack: Vec<RoleId> = Vec::new();
+        for &direct in self.assignments.get(&subject).into_iter().flatten() {
+            let mut next = Some(direct);
+            while let Some(role) = next {
+                if out.insert(role) {
+                    if let Some(juniors) = self.inherits.get(&role) {
+                        stack.extend(juniors.iter().copied());
+                    }
                 }
+                next = stack.pop();
             }
         }
         out
@@ -208,15 +250,15 @@ impl RbacPolicy {
 
     /// Checks whether `subject` may exercise `needed` on `path`, and
     /// explains why. Conflict resolution: deepest matching path wins;
-    /// deny beats allow at equal depth; default deny.
-    pub fn check(&self, subject: Subject, path: &ObjectPath, needed: Rights) -> Decision {
+    /// deny beats allow at equal depth; default deny. Allocates nothing.
+    pub fn check(&self, subject: Subject, path: &ObjectPath, needed: Rights) -> Decision<'_> {
         if needed.is_empty() {
             return Decision {
                 allowed: true,
                 because: None,
             };
         }
-        let roles = self.effective_roles(subject);
+        let roles = self.effective.get(&subject).unwrap_or(&NO_ROLES);
         let mut best: Option<(&Rule, usize)> = None;
         for rule in &self.rules {
             if !roles.contains(&rule.role) || !rule.path.covers(path) {
@@ -242,7 +284,7 @@ impl RbacPolicy {
         match best {
             Some((rule, _)) => Decision {
                 allowed: rule.effect == Effect::Allow && rule.rights.contains(needed),
-                because: Some(rule.clone()),
+                because: Some(rule),
             },
             None => Decision {
                 allowed: false,
@@ -255,7 +297,7 @@ impl RbacPolicy {
     /// "access rights are both visible and easy to understand".
     pub fn explain(&self, subject: Subject, path: &ObjectPath, needed: Rights) -> String {
         let d = self.check(subject, path, needed);
-        match (&d.because, d.allowed) {
+        match (d.because, d.allowed) {
             (Some(rule), true) => format!(
                 "{subject} may {needed} on {path}: {} grants {} at '{}'",
                 rule.role, rule.rights, rule.path

@@ -443,16 +443,7 @@ impl EventBus {
     /// Whether `observer` may read `artefact` under the installed
     /// policy (always `true` while the gate is disarmed).
     pub fn rights_allow(&self, observer: NodeId, artefact: &str) -> bool {
-        if !self.gate {
-            return true;
-        }
-        self.policy
-            .check(
-                Subject(observer.0),
-                &ObjectPath::new(artefact),
-                Rights::READ,
-            )
-            .allowed
+        !self.gate || may_read(&self.policy, observer, &ObjectPath::new(artefact))
     }
 
     /// Publishes a cooperation event.
@@ -462,9 +453,16 @@ impl EventBus {
     /// audience only — the weight function against the observer's
     /// threshold. Directed events go only to their addressee at weight
     /// `1.0`; broadcast events never reach their own actor.
+    ///
+    /// Allocates the output vector, one artefact path per event while
+    /// the gate is armed, and one owned event per delivery.
     pub fn publish(&mut self, event: CoopEvent) -> Vec<BusDelivery> {
         self.published += 1;
-        let mut out = Vec::new();
+        let path = self.gate.then(|| ObjectPath::new(event.artefact.as_str()));
+        let mut out = Vec::with_capacity(match event.audience {
+            Audience::Direct(_) => 1,
+            Audience::Everyone => self.observers.len(),
+        });
         for (&observer, state) in self.observers.iter_mut() {
             let weight = match event.audience {
                 Audience::Direct(to) => {
@@ -482,15 +480,9 @@ impl EventBus {
             };
             // Rights first: an observer without read rights must not
             // learn the event existed, regardless of interest.
-            let allowed = !self.gate
-                || self
-                    .policy
-                    .check(
-                        Subject(observer.0),
-                        &ObjectPath::new(event.artefact.as_str()),
-                        Rights::READ,
-                    )
-                    .allowed;
+            let allowed = path
+                .as_ref()
+                .is_none_or(|path| may_read(&self.policy, observer, path));
             if !allowed {
                 state.suppressed_by_rights += 1;
                 continue;
@@ -538,6 +530,13 @@ impl EventBus {
             suppressed_by_rights: o.suppressed_by_rights,
         })
     }
+}
+
+/// The rights gate: whether `observer` holds [`Rights::READ`] on `path`.
+fn may_read(policy: &RbacPolicy, observer: NodeId, path: &ObjectPath) -> bool {
+    policy
+        .check(Subject(observer.0), path, Rights::READ)
+        .allowed
 }
 
 impl Default for EventBus {

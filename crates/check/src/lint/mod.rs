@@ -68,14 +68,21 @@ impl Default for LintConfig {
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
-            // odp-core hosts the scripted experiment drivers; odp-bench
-            // is the measurement harness; the invariants directory holds
-            // the explorer's scenario harnesses (bus replicas, scripted
-            // races) whose construction aborts the check run by design.
-            harness_paths: ["crates/core", "crates/bench", "crates/check/src/invariants"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            // odp-core's experiments directory hosts the scripted
+            // experiment drivers (the rest of odp-core, such as the
+            // workspace replica, is protocol code and stays linted);
+            // odp-bench is the measurement harness; the invariants
+            // directory holds the explorer's scenario harnesses (bus
+            // replicas, scripted races) whose construction aborts the
+            // check run by design.
+            harness_paths: [
+                "crates/core/src/experiments",
+                "crates/bench",
+                "crates/check/src/invariants",
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
         }
     }
 }
@@ -262,6 +269,11 @@ mod tests {
         assert!(config.rule_applies(harness, "wallclock"));
         assert!(config.rule_applies(protocol, "unwrap"));
         assert!(config.rule_applies(protocol, "hot-path-alloc"));
+        // Only odp-core's experiment drivers are harness code: the
+        // workspace replica beside them is protocol code.
+        let replica = Path::new("crates/core/src/workspace.rs");
+        assert!(config.rule_applies(replica, "unwrap"));
+        assert!(config.rule_applies(replica, "hot-path-alloc"));
         // The explorer's scenario harnesses are harness code too, but
         // the bus protocol module they exercise is not.
         let invariant_harness = Path::new("crates/check/src/invariants/awareness.rs");

@@ -150,6 +150,8 @@ impl Outline {
             Some(p) => self
                 .items
                 .get_mut(&p)
+                // `p` was looked up above and nothing removed it since.
+                // odp-check: allow(unwrap)
                 .expect("checked")
                 .children
                 .insert(position, id),
@@ -259,6 +261,8 @@ impl Outline {
         }
         // Attach.
         let siblings_len = match new_parent {
+            // Checked above: `p` is present, and detaching removes no item.
+            // odp-check: allow(unwrap)
             Some(p) => self.items.get(&p).expect("checked").children.len(),
             None => self.roots.len(),
         };
@@ -267,6 +271,8 @@ impl Outline {
             Some(p) => self
                 .items
                 .get_mut(&p)
+                // Same presence check as above.
+                // odp-check: allow(unwrap)
                 .expect("checked")
                 .children
                 .insert(position, id),

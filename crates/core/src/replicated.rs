@@ -114,11 +114,17 @@ impl GroupApp<WsOp> for WorkspaceReplica {
             Ok(deliveries) => {
                 self.applied += 1;
                 self.awareness_delivered += deliveries.len() as u64;
+                // Trace data is an owned String today; lazily rendered
+                // data is the ROADMAP item on `Trace` events owning two
+                // `String`s, and changing the text would change example output.
+                // odp-check: allow(hot-path-alloc)
                 ctx.trace("ws.applied", format!("obj {} by {}", op.object, op.actor));
             }
             Err(e) => {
                 // Replicas share one policy, so a policy denial here means
-                // the configurations diverged — surface it loudly.
+                // the configurations diverged — surface it loudly. A
+                // cold error path, not per-delivery traffic.
+                // odp-check: allow(hot-path-alloc)
                 ctx.trace("ws.replica_error", e.to_string());
             }
         }

@@ -17,6 +17,7 @@ use odp_concurrency::store::{ObjectStore, StoreError};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 pub use odp_concurrency::store::ObjectId;
@@ -167,11 +168,12 @@ impl SharedWorkspace {
         self.paths.insert(id, path.into());
     }
 
-    fn path_of(&self, id: ObjectId) -> ObjectPath {
-        self.paths
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(|| ObjectPath::new(format!("obj/{}", id.0)))
+    /// The stored path of `id`, or `obj/<id>` for an unknown object.
+    fn path_of(&self, id: ObjectId) -> Cow<'_, ObjectPath> {
+        match self.paths.get(&id) {
+            Some(path) => Cow::Borrowed(path),
+            None => Cow::Owned(ObjectPath::new(format!("obj/{}", id.0))),
+        }
     }
 
     fn check(&self, who: NodeId, id: ObjectId, needed: Rights) -> Result<(), WorkspaceError> {
@@ -195,7 +197,9 @@ impl SharedWorkspace {
         kind: ActivityKind,
         at: SimTime,
     ) -> Vec<BusDelivery> {
-        let artefact = self.path_of(id).to_string();
+        // The history entry and the event each own the artefact: one
+        // copy of the stored path, one clone of that.
+        let artefact = String::from(self.path_of(id).as_str());
         self.history.push(HistoryEntry {
             who: who.0,
             artefact: artefact.clone(),

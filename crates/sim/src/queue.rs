@@ -152,6 +152,8 @@ impl<T> RadixHeap<T> {
             .iter()
             .map(|e| e.time)
             .min()
+            // An occupancy bit is set only while its bucket is non-empty.
+            // odp-check: allow(unwrap)
             .expect("an occupied bucket holds entries");
         if min > limit {
             return false;
